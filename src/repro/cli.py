@@ -168,8 +168,11 @@ _BENCHES_WITH_VARIANT = {"tile_size", "scaling", "workloads", "nodeloop"}
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReproError(f"cannot read source {path!r}: {exc}") from None
 
 
 def _guard_overwrite(path: Optional[str], force: bool) -> None:

@@ -33,15 +33,18 @@ from __future__ import annotations
 import json
 import hashlib
 import os
+import socket
 import tempfile
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import product
 from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Generator,
     Iterator,
     List,
     Mapping,
@@ -58,7 +61,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from ..apps import build_app
 from ..errors import ReproError
-from ..interp.runner import ClusterJob, job_fingerprint, run_many
+from ..interp.runner import ClusterJob, ClusterRun, job_fingerprint, run_many
 from ..lang.ast_nodes import SourceFile
 from ..runtime.collectives import (
     COLLECTIVES,
@@ -235,19 +238,10 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
         """Build a spec from a JSON object (the ``--spec`` file format)."""
-        known = {
-            "name",
-            "app",
-            "app_kwargs",
-            "nranks",
-            "variants",
-            "tile_sizes",
-            "interchange",
-            "networks",
-            "collectives",
-            "cpu_scales",
-            "verify",
-            "engine_mode",
+        # every field but the two that only the library API sets
+        known = {f.name for f in fields(cls)} - {
+            "base_cost_model",
+            "detect_races",
         }
         unknown = set(data) - known
         if unknown:
@@ -303,7 +297,15 @@ class SweepSpec:
 
 @dataclass
 class SweepPoint:
-    """One fully-resolved simulation of a sweep (pre-execution)."""
+    """One fully-resolved simulation of a sweep (pre-execution).
+
+    Also the measurement kind of cache entry: :attr:`key` addresses it,
+    :meth:`jobs` is the simulation a miss runs, :meth:`build` folds that
+    run into a label-less :class:`Measurement`, and :meth:`encode` /
+    :meth:`decode` are the only writer and reader of its payload.
+    """
+
+    kind = "measurement"
 
     axes: Dict[str, Any]
     program: Union[str, SourceFile]
@@ -335,15 +337,101 @@ class SweepPoint:
             engine_mode=self.engine_mode,
         )
 
+    @property
+    def key(self) -> Optional[str]:
+        return self.fingerprint
+
+    def jobs(self) -> List[ClusterJob]:
+        job = self.job()
+        # the label is result-neutral: a cached job drops it so its run
+        # is shared by every point of the fingerprint
+        return [job if self.fingerprint is None else replace(job, label="")]
+
+    def build(self, runs: Sequence[ClusterRun]) -> Measurement:
+        return measurement_from_run(
+            runs[0], network=self.network, collective=self.collective
+        )
+
+    def encode(self, measurement: Measurement) -> Dict[str, Any]:
+        return {
+            "kind": self.kind,
+            "inputs": dict(self.axes),
+            "measurement": measurement.to_dict(),
+        }
+
+    def decode(self, payload: Mapping[str, Any]) -> Measurement:
+        return Measurement.from_dict(payload["measurement"])
+
 
 @dataclass
 class _Verification:
-    """A pending original/transformed equivalence check of one spec."""
+    """A pending original/transformed equivalence check of one spec —
+    the verify kind of cache entry (same interface as
+    :class:`SweepPoint`; its value is the verdict ``True``)."""
+
+    kind = "verify"
 
     prepared: PreparedApp
-    original_job: ClusterJob
-    transformed_job: ClusterJob
-    key: Optional[str]  # None = uncacheable (externals)
+    #: content address (None = uncacheable: externals); the §4 verdict
+    #: is a pure function of the two program texts, the rank count and
+    #: the cost model under one engine version — the same §3.2 argument
+    #: that makes measurement caching sound
+    key: Optional[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        pa = self.prepared
+        self.key = None
+        if pa.app.externals is None:
+            blob = json.dumps(
+                {
+                    "kind": self.kind,
+                    "engine": ENGINE_VERSION,
+                    "original": pa.app.source,
+                    "transformed": pa.transform.unparse(),
+                    "nranks": pa.app.nranks,
+                    "cost": pa.cost_model.canonical_params(),
+                    "skip": sorted(pa.transform.dead_arrays),
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            self.key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def jobs(self) -> List[ClusterJob]:
+        app, report = self.prepared.app, self.prepared.transform
+        tag = variant_label(self.prepared.variant)
+        return [
+            ClusterJob(
+                program=program,
+                nranks=app.nranks,
+                network=IDEAL,
+                cost_model=self.prepared.cost_model,
+                externals=app.externals,
+                label=f"{app.name}/verify-{name}",
+            )
+            for program, name in (
+                (app.source, "original"),
+                (report.source, tag),
+            )
+        ]
+
+    def build(self, runs: Sequence[ClusterRun]) -> bool:
+        self.prepared.check_equivalence(*runs)  # raises on mismatch
+        return True
+
+    def encode(self, verdict: bool) -> Dict[str, Any]:
+        return {
+            "kind": self.kind,
+            "equivalent": verdict,
+            "app": self.prepared.app.name,
+            "nranks": self.prepared.app.nranks,
+        }
+
+    def decode(self, payload: Mapping[str, Any]) -> bool:
+        if payload["equivalent"] is not True:
+            raise ValueError("verify entries only ever record equivalence")
+        self.prepared.equivalent = True
+        return True
 
 
 # ---------------------------------------------------------------- cache
@@ -368,11 +456,26 @@ class CacheStats:
         )
 
 
-#: seconds after which an in-flight claim marker left behind by a
-#: crashed writer counts as abandoned and may be broken by another
-#: process (generous: the longest single simulation in the repo — a
-#: 1024-rank replay — finishes well under this)
+#: seconds after which an in-flight claim marker counts as abandoned
+#: and may be broken by another process — the only staleness test for a
+#: writer on another host; a local writer's marker goes stale as soon as
+#: its pid is gone (generous: the longest single simulation in the repo
+#: — a 1024-rank replay — finishes well under this)
 CLAIM_STALE_AFTER = 900.0
+
+
+def _pid_alive(pid: Any) -> bool:
+    """Whether ``pid`` names a live process on this host (anything that
+    cannot be checked counts as alive, leaving the age rule to judge)."""
+    if os.name != "posix" or not isinstance(pid, int) or pid <= 0:
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # EPERM: alive, owned by another user
+        pass
+    return True
 
 
 class SweepCache:
@@ -395,11 +498,11 @@ class SweepCache:
     the entry to land instead of duplicating the simulation.  Claim
     decisions are serialized under a per-entry advisory ``flock``
     (:meth:`lock`) so breaking a stale marker — one left by a crashed
-    writer, older than :data:`CLAIM_STALE_AFTER` — cannot race a live
-    claim.  The protocol is *advisory*: a writer that skips it and
-    simulates anyway stays correct (entries are deterministic and
-    writes atomic), it just wastes the duplicate work the markers
-    exist to avoid.
+    writer: its pid is gone from this host, or it is older than
+    :data:`CLAIM_STALE_AFTER` — cannot race a live claim.  The protocol
+    is *advisory*: a writer that skips it and simulates anyway stays
+    correct (entries are deterministic and writes atomic), it just
+    wastes the duplicate work the markers exist to avoid.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -415,18 +518,24 @@ class SweepCache:
         Unreadable/undecodable/mismatched entries count as ``corrupt``
         and read as a miss, so the caller falls back to re-simulation.
         """
-        path = self.path(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            return self._read(key)
+        except ValueError:
+            self.stats.corrupt += 1
+            return None
+
+    def _read(self, key: str) -> Optional[Dict[str, Any]]:
+        """The payload under ``key``, ``None`` when absent; raises
+        :class:`ValueError` for a corrupt entry."""
+        try:
+            with open(self.path(key), "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self.stats.corrupt += 1
-            return None
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"unreadable cache entry {key}") from exc
         if not isinstance(payload, dict) or payload.get("key") != key:
-            self.stats.corrupt += 1
-            return None
+            raise ValueError(f"mismatched cache entry {key}")
         return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
@@ -483,10 +592,11 @@ class SweepCache:
                 os.close(fd)
 
     def _claim_stale(self, marker: Path) -> bool:
-        """True when ``marker`` was abandoned: its writer recorded a
-        timestamp more than :data:`CLAIM_STALE_AFTER` seconds ago (or
-        the marker is unreadable).  A vanished marker is *not* stale —
-        it means the entry just landed."""
+        """True when ``marker`` was abandoned: its writer ran on this
+        host and its pid is gone, or it recorded a timestamp more than
+        :data:`CLAIM_STALE_AFTER` seconds ago (the only test a marker
+        from another host, or an unreadable one, gets).  A vanished
+        marker is *not* stale — it means the entry just landed."""
         try:
             with open(marker, "r", encoding="utf-8") as fh:
                 info = json.load(fh)
@@ -495,6 +605,9 @@ class SweepCache:
             return False
         except (OSError, ValueError, TypeError, KeyError):
             return True  # unreadable marker: treat as abandoned
+        local = info.get("host") == socket.gethostname()
+        if local and not _pid_alive(info.get("pid")):
+            return True
         return (time.time() - claimed_at) > CLAIM_STALE_AFTER
 
     def claim(self, key: str) -> bool:
@@ -502,33 +615,29 @@ class SweepCache:
 
         ``True``: this process owns the in-flight marker and must either
         :meth:`put` the entry (which releases it) or :meth:`release` on
-        failure.  ``False``: the entry already exists, or another live
-        writer holds the claim — :meth:`wait_for` the result instead.
+        failure.  ``False``: a readable entry already exists, or another
+        live writer holds the claim — :meth:`wait_for` the result
+        instead.  A corrupt entry can be claimed (and overwritten).
         """
         with self.lock(key):
-            if self.path(key).exists():
-                return False
+            try:
+                if self._read(key) is not None:
+                    return False
+            except ValueError:
+                pass
             marker = self.claim_path(key)
             marker.parent.mkdir(parents=True, exist_ok=True)
+            if self._claim_stale(marker):
+                # abandoned by a crashed writer: break it (safe under
+                # the entry lock) and claim afresh
+                self.release(key)
             try:
                 fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
-                if not self._claim_stale(marker):
-                    return False
-                # abandoned by a crashed writer: break it and re-claim
-                # (safe under the entry lock)
-                try:
-                    os.unlink(marker)
-                except FileNotFoundError:
-                    pass
-                try:
-                    fd = os.open(
-                        marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                    )
-                except FileExistsError:
-                    return False
+                return False
+            info = {"pid": os.getpid(), "host": socket.gethostname()}
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"pid": os.getpid(), "time": time.time()}, fh)
+                json.dump(dict(info, time=time.time()), fh)
             return True
 
     def release(self, key: str) -> None:
@@ -552,52 +661,33 @@ class SweepCache:
         timeout: float = CLAIM_STALE_AFTER,
         poll: float = 0.05,
     ) -> Optional[Dict[str, Any]]:
-        """Block until another writer's entry for ``key`` lands.
+        """Block while another writer's claim on ``key`` is live (its
+        :meth:`put` writes the entry, then drops the claim), then read
+        the entry.
 
         Returns the payload, or ``None`` when the claim vanished or went
         stale without producing an entry (the caller should
         :meth:`claim` and simulate itself) or ``timeout`` elapsed.
         """
         deadline = time.monotonic() + timeout
-        while True:
-            payload = self.get(key)
-            if payload is not None:
-                return payload
-            if not self.claim_live(key):
-                # one final read: the writer may have put + released
-                # between our get() and the marker check
-                return self.get(key)
-            if time.monotonic() >= deadline:
-                return None
+        while self.claim_live(key) and time.monotonic() < deadline:
             time.sleep(poll)
+        return self.get(key)
 
     # ------------------------------------------------- introspection
 
     def entries(self) -> Iterator[Tuple[Path, Optional[Dict[str, Any]]]]:
         """Every on-disk entry as ``(path, payload)``, payload ``None``
         for undecodable files (deterministic order)."""
-        if not self.root.is_dir():
-            return
-        for fanout in sorted(self.root.iterdir()):
-            if not fanout.is_dir():
-                continue
-            for path in sorted(fanout.glob("*.json")):
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        payload = json.load(fh)
-                    if not isinstance(payload, dict):
-                        payload = None
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        for path in sorted(self.root.glob("*/*.json")):
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    payload = json.load(fh)
+                if not isinstance(payload, dict):
                     payload = None
-                yield path, payload
-
-    @staticmethod
-    def _version_label(payload: Optional[Dict[str, Any]]) -> str:
-        if payload is None:
-            return "corrupt"
-        engine = payload.get("engine", "?")
-        symmetry = payload.get("symmetry", "?")
-        return f"engine={engine}/symmetry={symmetry}"
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+                payload = None
+            yield path, payload
 
     def _entry_stale(self, payload: Optional[Dict[str, Any]]) -> bool:
         """A prunable entry: corrupt, or written under a different
@@ -626,14 +716,17 @@ class SweepCache:
             size += nbytes
             kind = payload.get("kind", "corrupt") if payload else "corrupt"
             kinds[kind] = kinds.get(kind, 0) + 1
-            label = self._version_label(payload)
+            label = "corrupt"
+            if payload is not None:
+                label = (
+                    f"engine={payload.get('engine', '?')}/"
+                    f"symmetry={payload.get('symmetry', '?')}"
+                )
             versions[label] = versions.get(label, 0) + 1
             if self._entry_stale(payload):
                 stale += 1
                 stale_size += nbytes
-        claims = (
-            sorted(self.root.glob("*/*.inflight")) if self.root.is_dir() else []
-        )
+        claims = list(self.root.glob("*/*.inflight"))
         return {
             "root": str(self.root),
             "entries": total,
@@ -664,15 +757,14 @@ class SweepCache:
             else:
                 kept += 1
         stale_claims = 0
-        if self.root.is_dir():
-            for marker in sorted(self.root.glob("*/*.inflight")):
-                if self._claim_stale(marker):
-                    stale_claims += 1
-                    if not dry_run:
-                        try:
-                            os.unlink(marker)
-                        except OSError:
-                            pass
+        for marker in sorted(self.root.glob("*/*.inflight")):
+            if self._claim_stale(marker):
+                stale_claims += 1
+                if not dry_run:
+                    try:
+                        os.unlink(marker)
+                    except OSError:
+                        pass
         return {
             "removed": removed,
             "kept": kept,
@@ -688,30 +780,6 @@ def _as_cache(
     if cache is None or isinstance(cache, SweepCache):
         return cache
     return SweepCache(cache)
-
-
-def _verification_key(
-    prepared: PreparedApp, cost_model: CostModel
-) -> Optional[str]:
-    """Content-address of one equivalence check (None = uncacheable).
-
-    The §4 verdict is a pure function of the two program texts, the rank
-    count, and the cost model under one engine version — the same §3.2
-    argument that makes measurement caching sound.
-    """
-    if prepared.app.externals is not None:
-        return None
-    payload = {
-        "kind": "verify",
-        "engine": ENGINE_VERSION,
-        "original": prepared.app.source,
-        "transformed": prepared.transform.unparse(),
-        "nranks": prepared.app.nranks,
-        "cost": cost_model.canonical_params(),
-        "skip": sorted(prepared.transform.dead_arrays),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ------------------------------------------------------------ expansion
@@ -747,100 +815,68 @@ def expand_spec(
 
     for nr in spec.nranks:
         app = build_app(spec.app, nranks=nr, **dict(spec.app_kwargs))
-        for tile in spec.tile_sizes:
-            for inter in spec.interchange:
-                options = TransformOptions(
-                    tile_size=tile, interchange=inter
+        for tile, inter in product(spec.tile_sizes, spec.interchange):
+            options = TransformOptions(tile_size=tile, interchange=inter)
+            prepared: Dict[str, Optional[PreparedApp]] = {}
+            fallback: Optional[TransformReport] = None
+            for label, pipeline in resolved_variants:
+                if pipeline.empty:
+                    prepared[label] = None
+                    continue
+                pa = PreparedApp(
+                    app,
+                    options=options,
+                    variant=pipeline,
+                    verify=False,
+                    cost_model=first_cost,
+                    # nothing in the sweep reads intermediate texts;
+                    # skip one unparse per pass per point
+                    snapshots=False,
                 )
-                prepared: Dict[str, Optional[PreparedApp]] = {}
-                fallback: Optional[TransformReport] = None
-                for label, pipeline in resolved_variants:
-                    if pipeline.empty:
-                        prepared[label] = None
-                        continue
-                    pa = PreparedApp(
-                        app,
-                        options=options,
-                        variant=pipeline,
-                        verify=False,
-                        cost_model=first_cost,
-                        # nothing in the sweep reads intermediate
-                        # texts; skip one unparse per pass per point
-                        snapshots=False,
+                prepared[label] = pa
+                if fallback is None:
+                    fallback = pa.transform
+                if spec.verify and pa.transform.changed:
+                    verifications.append(_Verification(pa))
+            for scale, (label, pipeline), network, coll in product(
+                spec.cpu_scales,
+                resolved_variants,
+                spec.networks,
+                spec.collectives,
+            ):
+                pa = prepared[label]
+                model = resolve_model(network)
+                program = app.source if pa is None else pa.transform.source
+                points.append(
+                    SweepPoint(
+                        axes={
+                            "spec": spec.name,
+                            "app": app.name,
+                            "variant": label,
+                            "nranks": nr,
+                            "tile_size": tile,
+                            "interchange": inter,
+                            "network": model.name,
+                            "collective": collective_label(coll),
+                            "cpu_scale": scale,
+                        },
+                        program=program,
+                        nranks=nr,
+                        network=model,
+                        collective=coll,
+                        cost_model=spec.base_cost_model.scaled(scale),
+                        detect_races=spec.detect_races,
+                        label=f"{app.name}/{label}",
+                        externals=app.externals,
+                        transform=fallback if pa is None else pa.transform,
+                        variant_id=(
+                            None
+                            if pa is None
+                            else variant_identity(pipeline, options)
+                        ),
+                        engine_mode=spec.engine_mode or "auto",
                     )
-                    prepared[label] = pa
-                    if fallback is None:
-                        fallback = pa.transform
-                    if spec.verify and pa.transform.changed:
-                        verifications.append(
-                            _Verification(
-                                prepared=pa,
-                                original_job=ClusterJob(
-                                    program=app.source,
-                                    nranks=nr,
-                                    network=IDEAL,
-                                    cost_model=first_cost,
-                                    externals=app.externals,
-                                    label=f"{app.name}/verify-original",
-                                ),
-                                transformed_job=ClusterJob(
-                                    program=pa.transform.source,
-                                    nranks=nr,
-                                    network=IDEAL,
-                                    cost_model=first_cost,
-                                    externals=app.externals,
-                                    label=f"{app.name}/verify-{label}",
-                                ),
-                                key=_verification_key(pa, first_cost),
-                            )
-                        )
-                for scale in spec.cpu_scales:
-                    cost = spec.base_cost_model.scaled(scale)
-                    for label, pipeline in resolved_variants:
-                        pa = prepared[label]
-                        program: Union[str, SourceFile]
-                        if pa is None:
-                            program = app.source
-                            transform = fallback
-                            variant_id = None
-                        else:
-                            program = pa.transform.source
-                            transform = pa.transform
-                            variant_id = variant_identity(
-                                pipeline, options
-                            )
-                        for network in spec.networks:
-                            model = resolve_model(network)
-                            for coll in spec.collectives:
-                                points.append(
-                                    SweepPoint(
-                                        axes={
-                                            "spec": spec.name,
-                                            "app": app.name,
-                                            "variant": label,
-                                            "nranks": nr,
-                                            "tile_size": tile,
-                                            "interchange": inter,
-                                            "network": model.name,
-                                            "collective": collective_label(
-                                                coll
-                                            ),
-                                            "cpu_scale": scale,
-                                        },
-                                        program=program,
-                                        nranks=nr,
-                                        network=model,
-                                        collective=coll,
-                                        cost_model=cost,
-                                        detect_races=spec.detect_races,
-                                        label=f"{app.name}/{label}",
-                                        externals=app.externals,
-                                        transform=transform,
-                                        variant_id=variant_id,
-                                        engine_mode=spec.engine_mode
-                                        or "auto",
-                                    )
-                                )
+                )
     return points, verifications
 
 
@@ -867,10 +903,11 @@ class SweepStats:
     verify_simulated: int = 0  # verification simulations actually run
     cache_hits: int = 0
     cache_misses: int = 0
-    deduplicated: int = 0  # points served by a sibling's fingerprint
+    peer_served: int = 0  # points whose entry a claiming peer wrote
+    deduplicated: int = 0  # points served by an identical simulation
     uncacheable: int = 0  # points with externals (never cached)
     verify_checks: int = 0
-    verify_hits: int = 0
+    verify_hits: int = 0  # checks answered without simulating them here
     mode: str = "none"  # "pool" | "serial" | "none" (no jobs needed)
     processes: int = 1
 
@@ -883,8 +920,8 @@ class SweepStats:
         return (
             f"{self.points} points: {self.simulated} simulated + "
             f"{self.verify_simulated} verify sims ({self.mode}), "
-            f"{self.cache_hits} cache hits, "
-            f"{self.deduplicated} deduplicated; verify "
+            f"{self.cache_hits} cache hits, {self.peer_served} from a "
+            f"peer, {self.deduplicated} deduplicated; verify "
             f"{self.verify_hits}/{self.verify_checks} cached"
         )
 
@@ -936,6 +973,150 @@ class SweepResult:
         }
 
 
+# ------------------------------------------------------ resolution core
+#
+# Measurement points and verifications are both cache *entries*: a key
+# (None = uncacheable), the jobs a miss runs, and build/encode/decode.
+# resolve_entry() is the one protocol that turns an entry into a value —
+# lookup, claim, wait for a peer, simulate, store — written as a
+# generator so that the synchronous driver below can batch the
+# simulations of many entries into one pool dispatch while the asyncio
+# driver in repro.serve.server awaits each one.  assemble_result() turns
+# the outcomes into the SweepResult both drivers return.
+
+#: what :func:`resolve_entry` yields to ask for a peer's claimed entry
+WAIT_FOR_PEER = "wait-for-peer"
+
+
+def expand_specs(
+    specs: Sequence[SweepSpec],
+) -> Tuple[List[SweepPoint], List[_Verification]]:
+    """Expand every spec and fingerprint its points (externals leave
+    the fingerprint ``None``: uncacheable)."""
+    points: List[SweepPoint] = []
+    verifications: List[_Verification] = []
+    for spec in specs:
+        pts, vers = expand_spec(spec)
+        points.extend(pts)
+        verifications.extend(vers)
+    for point in points:
+        if point.externals is None:
+            point.fingerprint = job_fingerprint(point.job())
+    return points, verifications
+
+
+def entry_slot(entry: Any) -> Any:
+    """What one resolution serves: the key, or the uncacheable entry."""
+    return entry.key if entry.key is not None else id(entry)
+
+
+def member_source(source: str, first: bool) -> str:
+    """How one member of a resolved group was served: after the first,
+    members of a simulated group rode on that one simulation."""
+    return source if first or source != "simulated" else "coalesced"
+
+
+def resolve_entry(
+    cache: Optional[SweepCache], entry: Any
+) -> Generator[Any, Any, Tuple[Any, str]]:
+    """Resolve one entry to ``(value, source)``, ``source`` being
+    ``"cache"``, ``"peer"`` or ``"simulated"``.
+
+    The generator yields :data:`WAIT_FOR_PEER` (send back the payload
+    of the peer that claimed the key, or ``None`` when none landed) or
+    the entry's jobs (send back their runs).  Closing it, or throwing
+    into it, releases a claim it still holds.
+    """
+
+    def decode(payload: Optional[Dict[str, Any]]) -> Any:
+        if payload is None or payload.get("kind") != entry.kind:
+            return None
+        try:
+            return entry.decode(payload)
+        except (TypeError, ValueError, KeyError):
+            cache.stats.corrupt += 1
+            return None
+
+    if entry.key is None:
+        cache = None
+    claimed = False
+    if cache is not None:
+        value = decode(cache.get(entry.key))
+        hit = value is not None
+        if entry.kind == "verify":
+            cache.stats.verify_hits += hit
+            cache.stats.verify_misses += not hit
+        else:
+            cache.stats.hits += hit
+            cache.stats.misses += not hit
+        if hit:
+            return value, "cache"
+        claimed = cache.claim(entry.key)
+        if not claimed:
+            value = decode((yield WAIT_FOR_PEER))
+            if value is not None:
+                return value, "peer"
+            # the peer gave up (or outlived the wait): take over; an
+            # unclaimed duplicate simulation is still correct
+            claimed = cache.claim(entry.key)
+    try:
+        value = entry.build((yield entry.jobs()))
+        if cache is not None:
+            cache.put(entry.key, entry.encode(value))  # releases the claim
+    except BaseException:
+        if claimed:
+            cache.release(entry.key)
+        raise
+    return value, "simulated"
+
+
+def assemble_result(
+    specs: Sequence[SweepSpec],
+    points: Sequence[SweepPoint],
+    verifications: Sequence[_Verification],
+    outcomes: Mapping[Any, Tuple[Any, str]],
+) -> SweepResult:
+    """The :class:`SweepResult` of resolved entries (``outcomes`` maps
+    each :func:`entry_slot` to its first member's ``(value, source)``)."""
+    stats = SweepStats(points=len(points), verify_checks=len(verifications))
+    runs: List[SweepRun] = []
+    seen: set = set()
+    for point in points:
+        slot = entry_slot(point)
+        measurement, source = outcomes[slot]
+        source = member_source(source, slot not in seen)
+        seen.add(slot)
+        if source == "cache":
+            stats.cache_hits += 1
+        elif source == "peer":
+            stats.peer_served += 1
+        elif source == "coalesced":
+            stats.deduplicated += 1
+        else:
+            stats.simulated += 1
+            if point.key is None:
+                stats.uncacheable += 1
+            else:
+                stats.cache_misses += 1
+        runs.append(
+            SweepRun(
+                axes=point.axes,
+                measurement=replace(measurement, label=point.label),
+                cached=source in ("cache", "peer"),
+                fingerprint=point.fingerprint,
+                transform=point.transform,
+            )
+        )
+    for ver in verifications:
+        slot = entry_slot(ver)
+        if member_source(outcomes[slot][1], slot not in seen) == "simulated":
+            stats.verify_simulated += 2
+        else:
+            stats.verify_hits += 1
+        seen.add(slot)
+    return SweepResult(runs=runs, stats=stats, specs=list(specs))
+
+
 def _execute_sweep(
     specs: Union[SweepSpec, Sequence[SweepSpec]],
     *,
@@ -955,173 +1136,62 @@ def _execute_sweep(
     fingerprints coincide are simulated once per batch regardless of
     caching.
 
+    Misses are claimed before they are simulated (DESIGN.md §11): an
+    entry another process sharing the cache claimed first is waited
+    for once this call's own batch is done, and whatever the peer never
+    delivered is simulated in a second batch.  Claims still held when
+    this exits by an exception are released.
+
     This is the engine behind :meth:`repro.api.Session.sweep`; the
     kwargs-style :func:`run_sweep` is a deprecation shim over it.
     """
     if isinstance(specs, SweepSpec):
         specs = [specs]
-    specs = list(specs)
     cache = _as_cache(cache)
+    points, verifications = expand_specs(specs)
+    resolvers = {}  # slot -> the resolution of its first entry
+    for entry in (*points, *verifications):
+        if entry_slot(entry) not in resolvers:
+            resolvers[entry_slot(entry)] = resolve_entry(cache, entry)
+    outcomes: Dict[Any, Tuple[Any, str]] = {}
+    dispatch = ("none", 1)  # how the last batch ran: (mode, processes)
 
-    points: List[SweepPoint] = []
-    verifications: List[_Verification] = []
-    for spec in specs:
-        pts, vers = expand_spec(spec)
-        points.extend(pts)
-        verifications.extend(vers)
-
-    stats = SweepStats(points=len(points))
-
-    # -- fingerprint every point (externals => uncacheable)
-    for point in points:
-        if point.externals is None:
-            point.fingerprint = job_fingerprint(point.job())
-        else:
-            point.fingerprint = None
-            stats.uncacheable += 1
-
-    # -- satisfy what we can from the cache
-    served: Dict[str, Measurement] = {}
-    pending: Dict[str, SweepPoint] = {}  # fingerprint -> representative
-    uncached_points: List[SweepPoint] = []
-    for point in points:
-        fp = point.fingerprint
-        if fp is None:
-            uncached_points.append(point)
-            continue
-        if fp in served or fp in pending:
-            continue
-        payload = cache.get(fp) if cache is not None else None
-        if payload is not None and payload.get("kind") == "measurement":
+    def step(replies: Mapping[Any, Any]) -> Dict[Any, Any]:
+        """Send each resolver its reply; collect what it asks next."""
+        asks = {}
+        for slot, reply in replies.items():
             try:
-                served[fp] = Measurement.from_dict(payload["measurement"])
-                cache.stats.hits += 1
-                continue
-            except (TypeError, ValueError, KeyError):
-                cache.stats.corrupt += 1
-        if cache is not None:
-            cache.stats.misses += 1
-        pending[fp] = point
+                asks[slot] = resolvers[slot].send(reply)
+            except StopIteration as done:
+                outcomes[slot] = done.value
+        return asks
 
-    # -- verification: cache verdicts, simulate the rest in the batch
-    stats.verify_checks = len(verifications)
-    pending_verifications: List[_Verification] = []
-    for ver in verifications:
-        payload = (
-            cache.get(ver.key)
-            if cache is not None and ver.key is not None
-            else None
+    def simulate(asks: Mapping[Any, List[ClusterJob]]) -> None:
+        nonlocal dispatch
+        if not asks:
+            return
+        batch = run_many(
+            [job for js in asks.values() for job in js],
+            processes=jobs,
+            executor=executor,
         )
-        if (
-            payload is not None
-            and payload.get("kind") == "verify"
-            and payload.get("equivalent") is True
-        ):
-            ver.prepared.equivalent = True
-            stats.verify_hits += 1
-            cache.stats.verify_hits += 1
-        else:
-            if cache is not None and ver.key is not None:
-                cache.stats.verify_misses += 1
-            pending_verifications.append(ver)
+        dispatch = (batch.mode, batch.processes)
+        runs = iter(batch)
+        step({slot: [next(runs) for _ in js] for slot, js in asks.items()})
 
-    # -- one sharded batch: measurement misses, uncacheable points,
-    #    then verification pairs (submission order is deterministic)
-    batch_jobs: List[ClusterJob] = [
-        replace(pending[fp].job(), label="") for fp in pending
-    ]
-    batch_jobs.extend(p.job() for p in uncached_points)
-    stats.simulated = len(batch_jobs)
-    for ver in pending_verifications:
-        batch_jobs.append(ver.original_job)
-        batch_jobs.append(ver.transformed_job)
-    stats.verify_simulated = 2 * len(pending_verifications)
-
-    if batch_jobs:
-        batch = run_many(batch_jobs, processes=jobs, executor=executor)
-        stats.mode = batch.mode
-        stats.processes = batch.processes
-    else:
-        batch = []
-
-    # -- fold the batch back
-    cursor = 0
-    for fp, point in pending.items():
-        run = batch[cursor]
-        cursor += 1
-        m = measurement_from_run(
-            run, network=point.network, collective=point.collective
-        )
-        served[fp] = m
-        if cache is not None:
-            cache.put(
-                fp,
-                {
-                    "kind": "measurement",
-                    "inputs": dict(point.axes),
-                    "measurement": m.to_dict(),
-                },
-            )
-    uncached_measurements: List[Measurement] = []
-    for point in uncached_points:
-        run = batch[cursor]
-        cursor += 1
-        uncached_measurements.append(
-            measurement_from_run(
-                run,
-                network=point.network,
-                label=point.label,
-                collective=point.collective,
-            )
-        )
-    for ver in pending_verifications:
-        run_a = batch[cursor]
-        run_b = batch[cursor + 1]
-        cursor += 2
-        ver.prepared.check_equivalence(run_a, run_b)  # raises on mismatch
-        if cache is not None and ver.key is not None:
-            cache.put(
-                ver.key,
-                {
-                    "kind": "verify",
-                    "equivalent": True,
-                    "app": ver.prepared.app.name,
-                    "nranks": ver.prepared.app.nranks,
-                },
-            )
-
-    # -- assemble results in point order
-    runs: List[SweepRun] = []
-    uncached_iter = iter(uncached_measurements)
-    hit_fps = {
-        fp for fp in served if fp not in pending
-    }  # served straight from cache
-    seen_fp: set = set()
-    for point in points:
-        fp = point.fingerprint
-        if fp is None:
-            m = next(uncached_iter)
-            cached = False
-        else:
-            m = replace(served[fp], label=point.label)
-            cached = fp in hit_fps
-            if cached:
-                stats.cache_hits += 1
-            elif fp in seen_fp:
-                stats.deduplicated += 1
-            else:
-                stats.cache_misses += 1
-            seen_fp.add(fp)
-        runs.append(
-            SweepRun(
-                axes=point.axes,
-                measurement=m,
-                cached=cached,
-                fingerprint=fp,
-                transform=point.transform,
-            )
-        )
-    return SweepResult(runs=runs, stats=stats, specs=specs)
+    try:
+        asks = step(dict.fromkeys(resolvers))
+        own = {s: a for s, a in asks.items() if a is not WAIT_FOR_PEER}
+        simulate(own)
+        held = [slot for slot in asks if slot not in own]
+        simulate(step({slot: cache.wait_for(slot) for slot in held}))
+    except BaseException:
+        for resolver in resolvers.values():
+            resolver.close()
+        raise
+    result = assemble_result(specs, points, verifications, outcomes)
+    result.stats.mode, result.stats.processes = dispatch
+    return result
 
 
 def run_sweep(

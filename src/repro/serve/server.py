@@ -18,9 +18,14 @@ Deduplication happens at three layers, cheapest first:
    arriving while an identical point simulates *subscribes* to the
    running simulation instead of starting its own;
 3. the cache's cross-process claim markers
-   (:meth:`~repro.harness.sweep.SweepCache.claim`) — a second *server*
-   sharing the cache directory waits for the claiming peer's entry to
-   land instead of duplicating the simulation.
+   (:meth:`~repro.harness.sweep.SweepCache.claim`) — any other process
+   sharing the cache directory (a CLI sweep, a tune, another server)
+   that claimed an entry first is waited for instead of duplicated.
+
+Layers 1 and 3 are the resolution core every sweep shares
+(:mod:`repro.harness.sweep`); this module adds what is asynchronous:
+the in-flight map, admission control, event streaming and a non-blocking
+peer wait.  Measurement points and §4 verifications are resolved alike.
 
 Backpressure is admission control at expansion time: a sweep whose
 expanded point count would push the server past ``max_pending_points``
@@ -47,16 +52,18 @@ from ..api.context import UNSET, CompareRequest, VerifyRequest
 from ..api.session import Session
 from ..apps import build_app
 from ..errors import OverloadError, ReproError, RequestError
-from ..harness.runner import Measurement, measurement_from_run
 from ..harness.sweep import (
     CLAIM_STALE_AFTER,
-    SweepCache,
-    SweepPoint,
+    WAIT_FOR_PEER,
+    SweepResult,
     SweepSpec,
-    _Verification,
-    expand_spec,
+    assemble_result,
+    entry_slot,
+    expand_specs,
+    member_source,
+    resolve_entry,
 )
-from ..interp.runner import ClusterJob, execute_job, job_fingerprint
+from ..interp.runner import ClusterJob, execute_job
 from ..runtime.simulator import ENGINE_VERSION
 from .protocol import (
     PROTOCOL_VERSION,
@@ -134,9 +141,6 @@ class SweepServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending_points: int = 4096,
-        peer_wait_timeout: float = CLAIM_STALE_AFTER,
-        peer_poll: float = 0.05,
-        executor_workers: Optional[int] = None,
         **session_kwargs: Any,
     ) -> None:
         if session is not None and session_kwargs:
@@ -149,19 +153,14 @@ class SweepServer:
         self.host = host
         self.port = port
         self.max_pending_points = max_pending_points
-        self.peer_wait_timeout = peer_wait_timeout
-        self.peer_poll = peer_poll
-        self.executor_workers = executor_workers
         self.stats = ServeStats()
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread_executor = None
-        #: fingerprint -> future of (base Measurement, source) for every
-        #: measurement simulation currently in flight (layer 2 dedup)
+        #: cache key -> future of (value, source) for every entry —
+        #: measurement or verdict — currently in flight (layer 2 dedup)
         self._inflight: Dict[str, "asyncio.Future"] = {}
-        #: verification key -> future (same shape, verify verdicts)
-        self._inflight_verify: Dict[str, "asyncio.Future"] = {}
         self._conn_tasks: set = set()
         self._active_requests = 0
         self._pending_points = 0
@@ -239,15 +238,14 @@ class SweepServer:
         boundary, otherwise a lazily-created thread pool (correct
         either way; the thread pool trades parallelism for
         availability in sandboxes without multiprocessing)."""
-        if job.externals is None:
-            pool = self.session.pool()
-            if pool is not None:
-                return pool
+        pool = self.session.pool() if job.externals is None else None
+        if pool is not None:
+            return pool
         if self._thread_executor is None:
             from concurrent.futures import ThreadPoolExecutor
 
             self._thread_executor = ThreadPoolExecutor(
-                max_workers=self.executor_workers or 4,
+                max_workers=4,
                 thread_name_prefix="repro-serve",
             )
         return self._thread_executor
@@ -318,18 +316,9 @@ class SweepServer:
         self._active_requests += 1
         self._idle.clear()
         try:
-            if request.type == "sweep":
-                await self._handle_sweep(request, send)
-            elif request.type == "compare":
-                await self._handle_compare(request, send)
-            elif request.type == "verify":
-                await self._handle_verify(request, send)
-            elif request.type == "tune":
-                await self._handle_tune(request, send)
-            elif request.type == "status":
-                await self._handle_status(request, send)
-            elif request.type == "shutdown":
-                await self._handle_shutdown(request, send)
+            # parse_request admits only REQUEST_TYPES, one handler each
+            await getattr(self, f"_handle_{request.type}")(request, send)
+            if request.type == "shutdown":
                 return True
         except asyncio.CancelledError:
             raise
@@ -375,24 +364,38 @@ class SweepServer:
                     f"(got {type(item).__name__})"
                 )
             try:
-                spec = SweepSpec.from_dict(item)
-            except ReproError as exc:
+                specs.append(SweepSpec.from_dict(item))
+            except (ReproError, TypeError, ValueError) as exc:
                 raise RequestError(f"invalid sweep spec: {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise RequestError(f"invalid sweep spec: {exc}") from None
-            if spec.engine_mode is None:
-                spec = dataclasses.replace(
-                    spec, engine_mode=self.session.engine_mode
-                )
-            specs.append(spec)
         return specs
 
     async def _handle_sweep(self, request: ServeRequest, send) -> None:
         self.stats.sweeps += 1
         specs = self._parse_specs(request.body)
+
+        async def notify(name: str, **fields: Any) -> None:
+            await send(event(name, request.id, **fields))
+
+        # the Session.sweep artifact; "coalesced" is the wire's name for
+        # points an identical in-flight simulation served
+        payload = (await self._sweep(specs, notify)).to_json()
+        payload["stats"]["coalesced"] = payload["stats"]["deduplicated"]
+        await send(event("result", request.id, result=payload))
+
+    async def _sweep(self, specs: List[SweepSpec], notify=None) -> SweepResult:
+        """Expand, admit and resolve ``specs`` — the one path of sweep
+        requests and tune rounds.  ``notify(name, **fields)``, when
+        given, streams the ``accepted`` and per-point events."""
+        specs = [
+            s
+            if s.engine_mode is not None
+            else dataclasses.replace(s, engine_mode=self.session.engine_mode)
+            for s in specs
+        ]
         try:
+            # expansion transforms programs: CPU work off the event loop
             points, verifications = await asyncio.to_thread(
-                self._expand, specs
+                expand_specs, specs
             )
         except ReproError as exc:
             raise RequestError(f"sweep expansion failed: {exc}") from None
@@ -408,331 +411,107 @@ class SweepServer:
         self._pending_points += len(points)
         self.stats.points_requested += len(points)
         self.stats.verify_checks += len(verifications)
+        entries = (*points, *verifications)
+        groups: Dict[Any, List[int]] = {}  # slot -> indices, resolved once
+        for index, entry in enumerate(entries):
+            groups.setdefault(entry_slot(entry), []).append(index)
+        outcomes: Dict[Any, Tuple[Any, str]] = {}
+        done = 0
+
+        async def resolve(members: List[int]) -> None:
+            nonlocal done
+            value, source = await self._resolve(entries[members[0]])
+            outcomes[entry_slot(entries[members[0]])] = (value, source)
+            for n, index in enumerate(members):
+                if notify is None or index >= len(points):
+                    continue  # verdicts resolve silently
+                done += 1
+                await notify(
+                    "point",
+                    seq=done,
+                    total=len(points),
+                    index=index,
+                    axes=points[index].axes,
+                    source=member_source(source, n == 0),
+                    time=value.time,
+                )
+
         try:
-            await send(
-                event(
+            if notify is not None:
+                await notify(
                     "accepted",
-                    request.id,
                     points=len(points),
                     verifications=len(verifications),
                 )
-            )
-            req_stats = {
-                "points": len(points),
-                "simulated": 0,
-                "cache_hits": 0,
-                "peer_served": 0,
-                "coalesced": 0,
-                "verify_checks": len(verifications),
-                "verify_hits": 0,
-                "verify_simulated": 0,
-            }
-            results: List[Optional[Tuple[Measurement, str, bool]]] = [
-                None
-            ] * len(points)
-            done = 0
-            done_lock = asyncio.Lock()
-
-            source_keys = {
-                "simulated": "simulated",
-                "cache": "cache_hits",
-                "peer": "peer_served",
-                "coalesced": "coalesced",
-            }
-
-            async def one_point(index: int, point: SweepPoint) -> None:
-                nonlocal done
-                measurement, source, cached = await self._obtain_point(point)
-                results[index] = (measurement, source, cached)
-                req_stats[source_keys[source]] += 1
-                async with done_lock:
-                    done += 1
-                    seq = done
-                await send(
-                    event(
-                        "point",
-                        request.id,
-                        seq=seq,
-                        total=len(points),
-                        index=index,
-                        axes=point.axes,
-                        source=source,
-                        time=measurement.time,
-                    )
-                )
-
-            async def one_verify(ver: _Verification) -> None:
-                outcome = await self._obtain_verify(ver)
-                if outcome == "cache":
-                    req_stats["verify_hits"] += 1
-                    self.stats.verify_hits += 1
-                elif outcome == "simulated":
-                    req_stats["verify_simulated"] += 2
-
-            await asyncio.gather(
-                *(one_verify(v) for v in verifications),
-                *(one_point(i, p) for i, p in enumerate(points)),
-            )
+            await asyncio.gather(*(resolve(m) for m in groups.values()))
         finally:
             self._pending_points -= len(points)
 
-        runs = []
-        for point, outcome in zip(points, results):
-            measurement, _source, cached = outcome
-            runs.append(
-                {
-                    "axes": point.axes,
-                    "cached": cached,
-                    "fingerprint": point.fingerprint,
-                    "measurement": measurement.to_dict(),
-                }
-            )
-        await send(
-            event(
-                "result",
-                request.id,
-                result={
-                    "engine": ENGINE_VERSION,
-                    "specs": [s.to_dict() for s in specs],
-                    "stats": req_stats,
-                    "runs": runs,
-                },
-            )
-        )
+        result = assemble_result(specs, points, verifications, outcomes)
+        stats = result.stats
+        self.stats.simulations += stats.simulated
+        self.stats.verify_simulations += stats.verify_simulated
+        self.stats.cache_hits += stats.cache_hits
+        self.stats.peer_served += stats.peer_served
+        self.stats.coalesced += stats.deduplicated
+        self.stats.verify_hits += stats.verify_hits
+        return result
 
-    def _expand(
-        self, specs: List[SweepSpec]
-    ) -> Tuple[List[SweepPoint], List[_Verification]]:
-        """Expand + fingerprint every point (runs on a worker thread:
-        expansion transforms programs, which is CPU work the event loop
-        must not absorb)."""
-        points: List[SweepPoint] = []
-        verifications: List[_Verification] = []
-        for spec in specs:
-            pts, vers = expand_spec(spec)
-            points.extend(pts)
-            verifications.extend(vers)
-        for point in points:
-            point.fingerprint = (
-                job_fingerprint(point.job())
-                if point.externals is None
-                else None
-            )
-        return points, verifications
+    # ------------------------------------------------- dedup core
 
-    # ------------------------------------------------- point dedup core
-
-    async def _obtain_point(
-        self, point: SweepPoint
-    ) -> Tuple[Measurement, str, bool]:
-        """One measurement, deduplicated: ``(measurement, source,
-        cached)`` where ``source`` names the layer that produced it and
-        ``cached`` matches the :class:`~repro.harness.sweep.SweepRun`
-        flag a direct session sweep would report (served from the
-        shared cache rather than simulated by anyone this round)."""
-        fp = point.fingerprint
-        if fp is None:  # externals: uncacheable, uncoalesceable
-            run = await self._run_job(point.job())
-            self.stats.simulations += 1
-            return (
-                measurement_from_run(
-                    run,
-                    network=point.network,
-                    label=point.label,
-                    collective=point.collective,
-                ),
-                "simulated",
-                False,
-            )
-        holder = self._inflight.get(fp)
+    async def _resolve(self, entry) -> Tuple[Any, str]:
+        """One entry's ``(value, source)``, subscribing to an identical
+        entry already in flight on this server (any request)."""
+        key = entry.key
+        if key is None:  # externals: uncacheable, uncoalesceable
+            return await self._drive(entry)
+        holder = self._inflight.get(key)
         if holder is not None:
-            # layer 2: subscribe to the in-flight identical simulation
-            self.stats.coalesced += 1
-            base, base_source = await holder
-            return (
-                dataclasses.replace(base, label=point.label),
-                "coalesced",
-                base_source in ("cache", "peer"),
-            )
+            value, source = await asyncio.shield(holder)
+            return value, member_source(source, False)
         future = self._loop.create_future()
-        self._inflight[fp] = future
+        self._inflight[key] = future
         try:
-            base, source = await self._materialize(point, fp)
+            outcome = await self._drive(entry)
         except BaseException as exc:
-            self._inflight.pop(fp, None)
             future.set_exception(exc)
             future.exception()  # a lone holder must not warn on GC
             raise
-        future.set_result((base, source))
-        self._inflight.pop(fp, None)
-        return (
-            dataclasses.replace(base, label=point.label),
-            source,
-            source in ("cache", "peer"),
-        )
+        finally:
+            self._inflight.pop(key, None)
+        future.set_result(outcome)
+        return outcome
 
-    async def _materialize(
-        self, point: SweepPoint, fp: str
-    ) -> Tuple[Measurement, str]:
-        """Produce the base (label-less) measurement for ``fp`` via the
-        cheapest layer: cache entry, a claiming peer's entry, or a
-        simulation of our own (claimed cross-process first)."""
-        cache = self.session.cache
-        claimed = False
-        if cache is not None:
-            measurement = self._from_cache(cache, fp)
-            if measurement is not None:
-                self.stats.cache_hits += 1
-                return measurement, "cache"
-            claimed = cache.claim(fp)
-            if not claimed:
-                # layer 3: a peer process claimed this fingerprint
-                measurement = await self._await_peer(cache, fp)
-                if measurement is not None:
-                    self.stats.peer_served += 1
-                    return measurement, "peer"
-                # peer crashed or stalled: take over (an unclaimed
-                # duplicate simulation is still correct, just wasteful)
-                claimed = cache.claim(fp)
-        try:
-            run = await self._run_job(
-                dataclasses.replace(point.job(), label="")
-            )
-        except BaseException:
-            if claimed:
-                cache.release(fp)
-            raise
-        self.stats.simulations += 1
-        measurement = measurement_from_run(
-            run, network=point.network, collective=point.collective
-        )
-        if cache is not None:
-            cache.put(
-                fp,
-                {
-                    "kind": "measurement",
-                    "inputs": dict(point.axes),
-                    "measurement": measurement.to_dict(),
-                },
-            )
-        return measurement, "simulated"
+    async def _drive(self, entry) -> Tuple[Any, str]:
+        """Run the shared resolution protocol
+        (:func:`~repro.harness.sweep.resolve_entry`) without blocking
+        the event loop."""
+        resolver = resolve_entry(self.session.cache, entry)
+        reply = None
+        while True:
+            try:
+                ask = resolver.send(reply)
+            except StopIteration as done:
+                return done.value
+            try:
+                if ask is WAIT_FOR_PEER:
+                    reply = await self._wait_for_peer(entry.key)
+                else:
+                    reply = await asyncio.gather(
+                        *(self._run_job(job) for job in ask)
+                    )
+            except BaseException:
+                resolver.close()  # releases the claim it holds
+                raise
 
-    def _from_cache(
-        self, cache: SweepCache, fp: str
-    ) -> Optional[Measurement]:
-        payload = cache.get(fp)
-        if payload is None or payload.get("kind") != "measurement":
-            return None
-        try:
-            measurement = Measurement.from_dict(payload["measurement"])
-        except (TypeError, ValueError, KeyError):
-            cache.stats.corrupt += 1
-            return None
-        cache.stats.hits += 1
-        return measurement
-
-    async def _await_peer(
-        self, cache: SweepCache, fp: str
-    ) -> Optional[Measurement]:
+    async def _wait_for_peer(self, key: str) -> Optional[Dict[str, Any]]:
         """Async twin of :meth:`SweepCache.wait_for`: poll for the
         claiming peer's entry without blocking the event loop."""
-        deadline = self._loop.time() + self.peer_wait_timeout
-        while True:
-            measurement = self._from_cache(cache, fp)
-            if measurement is not None:
-                return measurement
-            if not cache.claim_live(fp):
-                return self._from_cache(cache, fp)
-            if self._loop.time() >= deadline:
-                return None
-            await asyncio.sleep(self.peer_poll)
-
-    # ------------------------------------------------- verification core
-
-    async def _obtain_verify(self, ver: _Verification) -> str:
-        """Satisfy one §4 equivalence check; raises on mismatch.
-        Returns which layer satisfied it (``cache``/``peer``/
-        ``coalesced``/``simulated``)."""
-        key = ver.key
         cache = self.session.cache
-        if key is None or cache is None:
-            await self._run_verification(ver, None, False)
-            return "simulated"
-        if self._verdict_cached(cache, key):
-            ver.prepared.equivalent = True
-            cache.stats.verify_hits += 1
-            return "cache"
-        holder = self._inflight_verify.get(key)
-        if holder is not None:
-            await holder  # raises if the running check failed
-            ver.prepared.equivalent = True
-            return "coalesced"
-        future = self._loop.create_future()
-        self._inflight_verify[key] = future
-        try:
-            claimed = cache.claim(key)
-            if not claimed:
-                landed = await self._await_verify_peer(cache, key)
-                if landed:
-                    ver.prepared.equivalent = True
-                    future.set_result(True)
-                    self._inflight_verify.pop(key, None)
-                    return "peer"
-                claimed = cache.claim(key)
-            await self._run_verification(ver, cache if claimed else None, key)
-        except BaseException as exc:
-            self._inflight_verify.pop(key, None)
-            future.set_exception(exc)
-            future.exception()
-            raise
-        future.set_result(True)
-        self._inflight_verify.pop(key, None)
-        return "simulated"
-
-    async def _run_verification(
-        self, ver: _Verification, cache, key
-    ) -> None:
-        try:
-            run_a, run_b = await asyncio.gather(
-                self._run_job(ver.original_job),
-                self._run_job(ver.transformed_job),
-            )
-            self.stats.verify_simulations += 2
-            ver.prepared.check_equivalence(run_a, run_b)  # raises
-        except BaseException:
-            if cache is not None and key:
-                cache.release(key)
-            raise
-        if cache is not None and key:
-            cache.put(
-                key,
-                {
-                    "kind": "verify",
-                    "equivalent": True,
-                    "app": ver.prepared.app.name,
-                    "nranks": ver.prepared.app.nranks,
-                },
-            )
-
-    @staticmethod
-    def _verdict_cached(cache: SweepCache, key: str) -> bool:
-        payload = cache.get(key)
-        return (
-            payload is not None
-            and payload.get("kind") == "verify"
-            and payload.get("equivalent") is True
-        )
-
-    async def _await_verify_peer(self, cache: SweepCache, key: str) -> bool:
-        deadline = self._loop.time() + self.peer_wait_timeout
-        while True:
-            if self._verdict_cached(cache, key):
-                return True
-            if not cache.claim_live(key):
-                return self._verdict_cached(cache, key)
-            if self._loop.time() >= deadline:
-                return False
-            await asyncio.sleep(self.peer_poll)
+        deadline = self._loop.time() + CLAIM_STALE_AFTER
+        while cache.claim_live(key) and self._loop.time() < deadline:
+            await asyncio.sleep(0.05)
+        return cache.get(key)
 
     # ----------------------------------------------- compare and verify
 
@@ -856,10 +635,10 @@ class SweepServer:
 
         The search loop itself runs on a worker thread (it is ordinary
         blocking orchestration), but every candidate evaluation is
-        routed back onto the event loop through :meth:`_tune_round` —
-        i.e. through :meth:`_obtain_point` — so tune evaluations enjoy
-        the same three-layer dedup as sweep points and coalesce with
-        any concurrent client measuring the same fingerprints.
+        routed back onto the event loop through :meth:`_sweep`, so tune
+        evaluations enjoy the same three-layer dedup as sweep points
+        and coalesce with any concurrent client measuring the same
+        fingerprints.
         """
         from ..errors import TuneError
         from ..tune.driver import tune as run_tune
@@ -937,7 +716,7 @@ class SweepServer:
             # called on the driver's worker thread; hop each round back
             # onto the event loop where the dedup machinery lives
             return asyncio.run_coroutine_threadsafe(
-                self._tune_round(specs), loop
+                self._sweep(specs), loop
             ).result()
 
         def on_step(step) -> None:
@@ -968,61 +747,6 @@ class SweepServer:
             "steps": [s.to_dict() for s in result.trajectory.steps],
         }
         await send(event("result", request.id, result=payload))
-
-    async def _tune_round(self, specs: List[SweepSpec]):
-        """One tune evaluation round as a ``SweepResult``, every point
-        going through :meth:`_obtain_point` (all three dedup layers)."""
-        from ..harness.sweep import SweepResult, SweepRun, SweepStats
-
-        specs = [
-            s
-            if s.engine_mode is not None
-            else dataclasses.replace(s, engine_mode=self.session.engine_mode)
-            for s in specs
-        ]
-        points, verifications = await asyncio.to_thread(self._expand, specs)
-        if self._pending_points + len(points) > self.max_pending_points:
-            raise OverloadError(
-                f"tune round expands to {len(points)} points but the "
-                f"server already has {self._pending_points} pending of "
-                f"a {self.max_pending_points}-point budget"
-            )
-        self._pending_points += len(points)
-        self.stats.points_requested += len(points)
-        self.stats.verify_checks += len(verifications)
-        stats = SweepStats(points=len(points))
-        try:
-            outcomes = await asyncio.gather(
-                *(self._obtain_point(p) for p in points)
-            )
-            for ver in verifications:
-                outcome = await self._obtain_verify(ver)
-                if outcome == "cache":
-                    self.stats.verify_hits += 1
-                    stats.verify_hits += 1
-                elif outcome == "simulated":
-                    stats.verify_simulated += 2
-                stats.verify_checks += 1
-        finally:
-            self._pending_points -= len(points)
-        runs: List[Any] = []
-        for point, (measurement, source, cached) in zip(points, outcomes):
-            if source == "simulated":
-                stats.simulated += 1
-            elif cached:
-                stats.cache_hits += 1
-            else:
-                stats.deduplicated += 1
-            runs.append(
-                SweepRun(
-                    axes=point.axes,
-                    measurement=measurement,
-                    cached=cached,
-                    fingerprint=point.fingerprint,
-                    transform=point.transform,
-                )
-            )
-        return SweepResult(runs=runs, stats=stats, specs=list(specs))
 
     # --------------------------------------------------- status/shutdown
 
@@ -1117,22 +841,19 @@ class ThreadedServer:
     def stop(self, *, drain: bool = True, timeout: float = 60.0) -> None:
         if self._loop is None or self.server is None:
             return
-        if self._loop.is_closed():
-            # a client's shutdown verb (or a signal) already stopped the
-            # server and its loop; stop() stays idempotent
-            self._thread.join(timeout)
-            self._loop = None
-            return
+        # a client's shutdown verb (or a signal) may already have stopped
+        # the server and closed its loop; stop() stays idempotent
+        future = None
+        if not self._loop.is_closed():
+            try:
+                future = asyncio.run_coroutine_threadsafe(
+                    self.server.shutdown(drain=drain), self._loop
+                )
+            except RuntimeError:  # loop closed since the check
+                pass
         try:
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(drain=drain), self._loop
-            )
-        except RuntimeError:  # loop closed between the check and the call
-            self._thread.join(timeout)
-            self._loop = None
-            return
-        try:
-            future.result(timeout)
+            if future is not None:
+                future.result(timeout)
         finally:
             self._thread.join(timeout)
             self._loop = None

@@ -1,15 +1,18 @@
 """SweepCache multi-writer protocol: claims, waiting, info/prune.
 
-Many server processes (or ``compuniformer serve`` next to a plain
-``sweep``) share one cache directory; the in-flight claim markers and
-per-entry advisory locks must guarantee a single simulating winner per
-fingerprint while every loser waits for (and then reads) the winner's
-entry.
+Many processes (CLI sweeps, tunes, ``compuniformer serve``) share one
+cache directory; the in-flight claim markers and per-entry advisory
+locks must guarantee a single simulating winner per fingerprint while
+every loser waits for (and then reads) the winner's entry.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -20,6 +23,13 @@ from repro.harness.sweep import CLAIM_STALE_AFTER, SweepCache
 
 def _payload(value: int = 1) -> dict:
     return {"kind": "measurement", "value": value}
+
+
+def _dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 class TestClaim:
@@ -74,6 +84,59 @@ class TestClaim:
         assert cache.claim(key)
         cache.claim_path(key).write_text("not json")
         assert not cache.claim_live(key)
+        assert cache.claim(key)
+
+    @staticmethod
+    def _rewrite_marker(cache, key, **fields):
+        marker = cache.claim_path(key)
+        info = json.loads(marker.read_text())
+        info.update(fields)
+        marker.write_text(json.dumps(info))
+
+    def test_marker_records_host_and_pid(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        key = "68" * 32
+        assert cache.claim(key)
+        info = json.loads(cache.claim_path(key).read_text())
+        assert info["host"] == socket.gethostname()
+        assert info["pid"] == os.getpid()
+
+    def test_dead_local_writer_is_broken_at_once(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        key = "69" * 32
+        assert cache.claim(key)
+        self._rewrite_marker(cache, key, pid=_dead_pid())
+        assert not cache.claim_live(key)  # fresh marker, but no writer
+        assert cache.claim(key)
+
+    def test_live_local_writer_is_honoured(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        key = "6a" * 32
+        assert cache.claim(key)
+        child = subprocess.Popen(
+            [sys.executable, "-c", "input()"], stdin=subprocess.PIPE
+        )
+        try:
+            self._rewrite_marker(cache, key, pid=child.pid)
+            assert cache.claim_live(key)
+            assert not cache.claim(key)
+        finally:
+            child.communicate(b"\n")
+
+    def test_foreign_host_marker_keeps_the_age_rule(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        key = "6b" * 32
+        assert cache.claim(key)
+        # the pid may well be free here, but it names a process on
+        # another machine: only the marker's age can condemn it
+        self._rewrite_marker(
+            cache, key, pid=_dead_pid(), host="elsewhere.invalid"
+        )
+        assert cache.claim_live(key)
+        assert not cache.claim(key)
+        self._rewrite_marker(
+            cache, key, time=time.time() - CLAIM_STALE_AFTER - 1
+        )
         assert cache.claim(key)
 
     def test_threads_race_one_winner(self, tmp_path):

@@ -8,10 +8,14 @@ deduplication, and bit-identical warm-run reproduction.
 
 import dataclasses
 import json
+import threading
+import time
 
 import pytest
 
+import repro.harness.sweep as sweep_mod
 import repro.interp.runner as interp_runner
+from repro.api import Session
 from repro.errors import ReproError, SimulationError
 from repro.harness.runner import Measurement
 from repro.harness.sweep import (
@@ -394,3 +398,92 @@ class TestEngineModeKeys:
         assert len(warm.runs) == len(points)
         assert all(r.cached for r in warm.runs)
         assert warm.runs[0].measurement.time == 1.25
+
+
+class TestPeerClaims:
+    """A sync sweep honours the cache's claim markers (DESIGN.md §11):
+    an entry another process claimed is waited for, not re-simulated —
+    the Session mirror of the serve test of the same contract."""
+
+    @staticmethod
+    def _claim_all(cache, spec):
+        points, verifications = expand_spec(spec)
+        keys = [job_fingerprint(p.job()) for p in points]
+        keys += [v.key for v in verifications]
+        assert len(verifications) == 1
+        for key in keys:
+            assert cache.claim(key)
+        return keys
+
+    @staticmethod
+    def _sweep_on_thread(cache_dir, spec):
+        box = {}
+
+        def run():
+            with Session(cache_dir=cache_dir) as session:
+                box["result"] = session.sweep(spec)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        return thread, box, "result" not in box  # blocked on the claims?
+
+    def test_peer_entries_are_awaited_not_duplicated(self, tmp_path):
+        spec = tiny_spec(verify=True)
+        with Session(cache_dir=tmp_path / "cold") as session:
+            cold = session.sweep(spec)
+        published = SweepCache(tmp_path / "cold")
+        peer = SweepCache(tmp_path / "shared")
+        keys = self._claim_all(peer, spec)
+        thread, box, blocked = self._sweep_on_thread(
+            tmp_path / "shared", spec
+        )
+        for key in keys:  # the "peer" publishes its finished entries
+            peer.put(key, published.get(key))
+        thread.join(timeout=30)
+        assert blocked and not thread.is_alive()
+
+        res = box["result"]
+        assert res.stats.simulated == 0
+        assert res.stats.verify_simulated == 0
+        assert res.stats.verify_hits == 1
+        assert res.stats.peer_served == len(res.runs) == 2
+        assert all(r.cached for r in res.runs)
+        assert [r.measurement for r in res.runs] == [
+            r.measurement for r in cold.runs
+        ]
+
+    def test_released_claims_are_simulated_once(self, tmp_path):
+        spec = tiny_spec(verify=True)
+        with Session() as session:
+            cold = session.sweep(spec)
+        peer = SweepCache(tmp_path / "shared")
+        keys = self._claim_all(peer, spec)
+        thread, box, blocked = self._sweep_on_thread(
+            tmp_path / "shared", spec
+        )
+        for key in keys:  # the "peer" gives up without publishing
+            peer.release(key)
+        thread.join(timeout=60)
+        assert blocked and not thread.is_alive()
+
+        res = box["result"]
+        assert res.stats.simulated == 2  # each point exactly once
+        assert res.stats.verify_simulated == 2
+        assert not any(r.cached for r in res.runs)
+        assert [r.measurement for r in res.runs] == [
+            r.measurement for r in cold.runs
+        ]
+        assert not any(peer.claim_live(key) for key in keys)
+
+    def test_exception_releases_held_claims(self, tmp_path, monkeypatch):
+        cache = SweepCache(tmp_path / "c")
+        spec = tiny_spec(verify=True)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweep_mod, "run_many", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sweep_mod._execute_sweep(spec, cache=cache)
+        assert cache.info()["inflight_claims"] == 0

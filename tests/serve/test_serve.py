@@ -278,6 +278,73 @@ class TestDedup:
         assert all(r["cached"] for r in result_box["result"]["runs"])
 
 
+class TestCacheAccounting:
+    @staticmethod
+    def _assert_each_check_counted_once(stats):
+        assert stats["verify_checks"] == (
+            stats["verify_hits"] + stats["verify_simulated"] // 2
+        )
+
+    def test_server_and_session_count_the_same(self, tmp_path):
+        """The same cold spec through the server and through a direct
+        Session leaves the same cache accounting."""
+        first = SweepSpec.single(
+            name="acct",
+            app="fft",
+            app_kwargs={"n": 8, "steps": 1, "stages": 2},
+            variant="prepush",
+            tile_size=4,
+            nranks=4,
+            verify=True,
+        )
+        second = dataclasses.replace(first, networks=("hostnet",))
+        with ThreadedServer(cache_dir=tmp_path / "served") as ts:
+            with ServeClient(port=ts.port) as client:
+                results = [client.sweep(first), client.sweep(second)]
+                served = client.status()["cache"]
+        with Session(cache_dir=tmp_path / "direct") as session:
+            session.sweep(first)
+            assert session.cache.stats.misses == 1
+            assert session.cache.stats.verify_misses == 1
+            session.sweep(second)
+            direct = vars(session.cache.stats).copy()
+        assert served == direct
+        assert served["misses"] == 2 and served["verify_misses"] == 1
+        assert served["verify_hits"] == 1  # same check, second network
+        for result in results:
+            self._assert_each_check_counted_once(result["stats"])
+        assert [r["stats"]["verify_hits"] for r in results] == [0, 1]
+
+    def test_coalesced_verification_is_counted(self, served, monkeypatch):
+        """A check satisfied by an identical one in flight for another
+        request still lands in exactly one outcome."""
+        ts, _ = served
+        import repro.serve.server as server_mod
+
+        def slow_execute(job):
+            time.sleep(0.4)
+            return execute_job(job)
+
+        monkeypatch.setattr(server_mod, "execute_job", slow_execute)
+        spec = tiny_spec(verify=True)
+        results = [None, None]
+
+        def submit(i):
+            with ServeClient(port=ts.port) as client:
+                results[i] = client.sweep(spec)
+
+        threads = [threading.Thread(target=submit, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+            time.sleep(0.1)
+        for t in threads:
+            t.join()
+        for result in results:
+            self._assert_each_check_counted_once(result["stats"])
+        assert sum(r["stats"]["verify_simulated"] for r in results) == 2
+        assert sum(r["stats"]["verify_hits"] for r in results) == 1
+
+
 class TestBackpressureAndLifecycle:
     def test_overload_rejects_before_simulating(self, served):
         ts, _ = served

@@ -46,6 +46,21 @@ class TestTransform:
         assert main(["transform", str(p), "-q"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{path}", "-n", "8"],
+            ["verify", "{path}", "-n", "8"],
+            ["transform", "{path}", "-q"],
+        ],
+    )
+    def test_missing_input_file_is_a_clean_error(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "nonexistent.f90")
+        assert main([a.format(path=missing) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read source")
+        assert "nonexistent.f90" in err
+
 
 class TestRun:
     def test_run_reports_timing(self, kernel_file, capsys):
